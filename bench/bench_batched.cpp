@@ -37,9 +37,10 @@
 //     partitioned set with a StealingExecutor attached: batches of ≥ the
 //     fan-out threshold split at range boundaries and go through the bulk
 //     submit + help path.
-//   * BM_LfslMixedWrite<kLocal|kRestart> — the PR 7 lock-free skip list
-//     under the identical mix and comparator: the point-concurrency
-//     baseline the batch rows are gated against (scripts/check_bench.py).
+//   * BM_LfslMixedWrite<LfslLocal> — the lock-free skip list (backlink
+//     recovery) under the identical mix and comparator: the
+//     point-concurrency baseline the batch rows are gated against
+//     (scripts/check_bench.py).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -88,10 +89,7 @@ using BatchedCc = BatchedSet<CcSynch>;
 using BatchedOp = BatchedCc::Op;
 using LfslLocal =
     LockFreeSkipListSet<std::uint64_t, AtomicCountingLess, EpochDomain,
-                        SkipListRecovery::kLocal, SkipListLevels::kKeyed>;
-using LfslRestart =
-    LockFreeSkipListSet<std::uint64_t, AtomicCountingLess, EpochDomain,
-                        SkipListRecovery::kRestart, SkipListLevels::kKeyed>;
+                        SkipListLevels::kKeyed>;
 
 // Thread-0 pre-loop code runs before the start barrier and post-loop code
 // after the stop barrier, so its global-counter snapshots cleanly bracket
@@ -314,8 +312,6 @@ void BM_LfslMixedWrite(benchmark::State& state) {
 }
 
 BENCHMARK(BM_LfslMixedWrite<LfslLocal>)
-    CCDS_E18_THREADS->Repetitions(5)->ReportAggregatesOnly(true);
-BENCHMARK(BM_LfslMixedWrite<LfslRestart>)
     CCDS_E18_THREADS->Repetitions(5)->ReportAggregatesOnly(true);
 
 }  // namespace

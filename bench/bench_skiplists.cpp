@@ -5,18 +5,11 @@
 // the balanced-tree baselines as soon as more than one thread is involved,
 // while the coarse AVL (strict rebalancing under one lock) flatlines.
 //
-// Key range 64k, prefilled half.  Args: {read%, insert%}.  E17's recovery
-// ablation (below) shares the binary and the key range.
+// Key range 64k, prefilled half.  Args: {read%, insert%}.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <mutex>
-#include <type_traits>
-
-// Recovery-event counters for the E17 rows (near zero-cost for the E8 rows
-// that share this TU: the counters only tick on recovery paths, which the
-// uniform E8 mixes rarely take).
-#define CCDS_SKIPLIST_STATS
 
 #include "bench_util.hpp"
 #include "skiplist/lazy_skiplist.hpp"
@@ -56,187 +49,6 @@ BENCHMARK(BM_SearchMix<LockFreeSkip>) CCDS_BENCH_MIX_ARGS CCDS_BENCH_THREADS;
 BENCHMARK(BM_SearchMix<CoarseAvl>) CCDS_BENCH_MIX_ARGS CCDS_BENCH_THREADS;
 BENCHMARK(BM_SearchMix<TombstoneBst>) CCDS_BENCH_MIX_ARGS CCDS_BENCH_THREADS;
 BENCHMARK(BM_SearchMix<FineBst>) CCDS_BENCH_MIX_ARGS CCDS_BENCH_THREADS;
-
-// ---------------------------------------------------------------------------
-// E17 — recovery ablation: Fomitchev–Ruppert backlink-local recovery vs
-// head-restart, identical flag/mark/unlink protocol otherwise (the
-// SkipListRecovery template knob isolates exactly the recovery strategy).
-//
-// Claim: under hot-key contention a failed CAS costs O(1) backlink steps
-// with local recovery vs an O(log n) re-descent with restart, so the local
-// variant's throughput degrades much more slowly as conflicts multiply;
-// under uniform low-conflict load the two are indistinguishable (backlinks
-// are only dereferenced after a conflict).
-//
-// Workloads: uniform 50/25/25 over the full 64k range (conflicts rare —
-// the "no regression" leg) and the zipfian hot-key mix: a write-only 50/50
-// insert/remove mix where 90% of ops draw their key zipf-distributed
-// (α ∈ {0.9, 1.2}) over a 64-key hot range at the TOP of the key space and
-// 10% spray uniformly (see run_set_mix_zipf for why the hot range sits at
-// the top).  The write-only mix maximizes CAS conflicts on the hot keys,
-// which is the path under ablation.  Every thread is measured, and the
-// conflicts come from threads running at once on other cores, so the
-// ablation needs a multicore host; T=1 has none by construction and pins
-// the noise floor.
-//
-// Expected magnitude.  Per conflict the asymmetry is large: a re-descent
-// of the 32k-key list costs ~35 comparisons while a backlink repair costs
-// ~3.  But the ratio of the two variants' throughputs is gated by how
-// often conflicts happen, not how much each one costs: ratio ≈
-// C·(1 + restarts/op) / (C + w·backtracks/op) with C ≈ 35 comparisons per
-// descent and w ≈ 3 per repair, i.e. a ceiling of about 1 + restarts/op.
-// ---------------------------------------------------------------------------
-
-constexpr std::uint64_t kHotRange = 1 << 6;
-
-// Counting comparator for both legs: tallies each thread's key
-// comparisons.  comparisons_per_op is the work measurand beside wall
-// clock: both variants run identical code until a conflict, so on the
-// uniform legs their counts must match.
-struct CountingLess {
-  static inline thread_local std::uint64_t comparisons = 0;
-  bool operator()(std::uint64_t a, std::uint64_t b) const {
-    ++comparisons;
-    return a < b;
-  }
-};
-
-// Both variants use keyed (deterministic) tower heights: the Local and
-// Restart sets hold the same key distribution under churn, so kKeyed makes
-// them structurally IDENTICAL — with RNG towers, remove/reinsert churn lets
-// the two long-lived sets drift a few percent apart in traversal cost,
-// which is the same order as the recovery effect the ablation measures.
-using LockFreeSkipLocal =
-    LockFreeSkipListSet<std::uint64_t, CountingLess, EpochDomain,
-                        SkipListRecovery::kLocal, SkipListLevels::kKeyed>;
-using LockFreeSkipRestart =
-    LockFreeSkipListSet<std::uint64_t, CountingLess, EpochDomain,
-                        SkipListRecovery::kRestart, SkipListLevels::kKeyed>;
-
-// All four E17 sets (one per variant and leg) are prefilled together,
-// round-robin PER KEY, before any E17 row runs.  With the usual
-// one-static-per-benchmark prefill, the variant whose set happens to be
-// populated first gets the freshest heap and ~20% better node locality for
-// the rest of the process — measured as a 0.8x-1.25x swing on the T=1
-// legs, where both variants execute identical instruction streams and the
-// true ratio is 1.0 by construction.  Interleaving the insertions gives
-// every set the same allocation-locality statistics, which is what makes
-// cross-variant ratios meaningful inside one process.
-struct E17Sets {
-  LockFreeSkipLocal uniform_local;
-  LockFreeSkipRestart uniform_restart;
-  LockFreeSkipLocal zipf_local;
-  LockFreeSkipRestart zipf_restart;
-};
-
-E17Sets& e17_sets() {
-  // Magic static + call_once: see bench_lists.cpp for why (no teardown race).
-  static E17Sets& s = *new E17Sets();
-  static std::once_flag prefill_once;
-  std::call_once(prefill_once, [] {
-    const std::uint64_t half = kKeyRange / 2;
-    for (std::uint64_t i = 0; i < half; ++i) {
-      const std::uint64_t k = prefill_perturb(i, half);
-      s.uniform_local.insert(k);
-      s.uniform_restart.insert(k);
-      s.zipf_local.insert(k);
-      s.zipf_restart.insert(k);
-    }
-  });
-  return s;
-}
-
-template <typename Set>
-Set& e17_set(bool zipf) {
-  E17Sets& s = e17_sets();
-  if constexpr (std::is_same_v<Set, LockFreeSkipLocal>) {
-    return zipf ? s.zipf_local : s.uniform_local;
-  } else {
-    return zipf ? s.zipf_restart : s.uniform_restart;
-  }
-}
-
-// Every thread reports its own comparisons / (its iterations x thread
-// count); the framework sums thread contributions, yielding the per-op
-// mean.
-void report_comparisons(benchmark::State& state, std::uint64_t comps0) {
-  state.counters["comparisons_per_op"] = benchmark::Counter(
-      static_cast<double>(CountingLess::comparisons - comps0) /
-      (static_cast<double>(state.iterations()) *
-       static_cast<double>(state.threads())));
-}
-
-template <typename Set>
-void BM_SkipRecoveryUniform(benchmark::State& state) {
-  const std::uint64_t comps0 = CountingLess::comparisons;
-  run_set_mix(e17_set<Set>(false), state, kKeyRange, 50, 25);
-  report_comparisons(state, comps0);
-}
-
-// Zipf table built once per α (ranks only; thread-safe via magic static).
-const ZipfianGenerator& zipf_table(int alpha_tenths) {
-  static const ZipfianGenerator z09(kHotRange, 0.9);
-  static const ZipfianGenerator z12(kHotRange, 1.2);
-  return alpha_tenths == 9 ? z09 : z12;
-}
-
-// Snapshot the recovery-event counters around the timed loop (thread 0
-// only; pre-loop code cannot race the loop — the framework barriers all
-// threads at loop entry and exit) and report them per operation, so every
-// E17 row carries its own conflict-rate evidence.
-struct RecoveryEvents {
-  std::uint64_t backtracks0 = 0;
-  std::uint64_t restarts0 = 0;
-  std::uint64_t helps0 = 0;
-  explicit RecoveryEvents(const benchmark::State& state) {
-    if (state.thread_index() != 0) return;
-    backtracks0 = SkipListStats::backtracks.load(std::memory_order_relaxed);  // relaxed: stats
-    restarts0 = SkipListStats::head_restarts.load(std::memory_order_relaxed);  // relaxed: stats
-    helps0 = SkipListStats::helps.load(std::memory_order_relaxed);  // relaxed: stats
-  }
-  void report(benchmark::State& state) const {
-    if (state.thread_index() != 0) return;
-    const double ops = static_cast<double>(state.iterations()) *
-                       static_cast<double>(state.threads());
-    auto per_op = [ops](std::atomic<std::uint64_t>& c, std::uint64_t before) {
-      const std::uint64_t after = c.load(std::memory_order_relaxed);  // relaxed: stats
-      return ops > 0.0 ? static_cast<double>(after - before) / ops : 0.0;
-    };
-    state.counters["backtracks_per_op"] =
-        benchmark::Counter(per_op(SkipListStats::backtracks, backtracks0));
-    state.counters["head_restarts_per_op"] =
-        benchmark::Counter(per_op(SkipListStats::head_restarts, restarts0));
-    state.counters["helps_per_op"] =
-        benchmark::Counter(per_op(SkipListStats::helps, helps0));
-  }
-};
-
-template <typename Set>
-void BM_SkipRecoveryZipf(benchmark::State& state) {
-  RecoveryEvents events(state);
-  const std::uint64_t comps0 = CountingLess::comparisons;
-  run_set_mix_zipf(e17_set<Set>(true), state, kKeyRange,
-                   zipf_table(static_cast<int>(state.range(0))), 0, 50);
-  report_comparisons(state, comps0);
-  events.report(state);
-}
-
-// Repetitions + median aggregates baked into every E17 row: the restart
-// variant's conflict cascades are heavy-tailed, and one process hosts many
-// static sets whose heap layout drifts with run order, so the
-// scripts/check_bench.py gate reads the _median rows, never a single
-// sample.
-BENCHMARK(BM_SkipRecoveryUniform<LockFreeSkipLocal>)
-    CCDS_BENCH_THREADS->Repetitions(5)->ReportAggregatesOnly(true);
-BENCHMARK(BM_SkipRecoveryUniform<LockFreeSkipRestart>)
-    CCDS_BENCH_THREADS->Repetitions(5)->ReportAggregatesOnly(true);
-// Arg = α in tenths (9 → 0.9, 12 → 1.2).
-BENCHMARK(BM_SkipRecoveryZipf<LockFreeSkipLocal>)
-    ->Arg(9)->Arg(12) CCDS_BENCH_THREADS
-    ->Repetitions(5)->ReportAggregatesOnly(true);
-BENCHMARK(BM_SkipRecoveryZipf<LockFreeSkipRestart>)
-    ->Arg(9)->Arg(12) CCDS_BENCH_THREADS
-    ->Repetitions(5)->ReportAggregatesOnly(true);
 
 }  // namespace
 

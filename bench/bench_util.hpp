@@ -27,7 +27,6 @@
 
 #include "core/arch.hpp"
 #include "core/rng.hpp"
-#include "core/zipf.hpp"
 
 namespace ccds::bench {
 
@@ -228,47 +227,6 @@ void run_set_mix(Set& set, benchmark::State& state, std::uint64_t key_range,
     const std::uint64_t r = rng.next();
     const std::uint64_t key = (r >> 32) % key_range;
     const int op = static_cast<int>(r % 100);
-    if (op < read_pct) {
-      benchmark::DoNotOptimize(set.contains(key));
-    } else if (op < read_pct + insert_pct) {
-      benchmark::DoNotOptimize(set.insert(key));
-    } else {
-      benchmark::DoNotOptimize(set.remove(key));
-    }
-    ops.tick();
-  }
-  ops.finish();
-}
-
-// Zipfian hot-range mix for set-like structures (E17): 90% of operations
-// draw a zipfian rank over a small CONTIGUOUS hot range at the HIGH end of
-// the key space, 10% are uniform background over the full range (so the
-// structure keeps realistic size and tower height while the hot range
-// concentrates the conflicts).  Rank r maps to key key_range-1-r: the
-// hottest keys sit at the far right of the key space, so (a) the
-// bottom-level predecessors of the most-contended keys are the other
-// most-contended keys, and (b) a traversal to a hot key crosses the full
-// O(log n) descent — hot keys adjacent to the head would make a restart
-// re-descent artificially cheap.  (a) is deliberate and adversarial for
-// recovery: the window a thread holds near a hot key is built from exactly
-// the nodes other threads are most likely to remove before its CAS lands —
-// every conflict then pays the recovery path under ablation.
-// hot.size() and key_range must be powers of two.
-template <typename Set>
-void run_set_mix_zipf(Set& set, benchmark::State& state,
-                      std::uint64_t key_range, const ZipfianGenerator& hot,
-                      int read_pct, int insert_pct) {
-  Xoshiro256 rng = make_rng(state);
-  ThreadOps ops(state);
-  for (auto _ : state) {
-    const std::uint64_t r = rng.next();
-    std::uint64_t key;
-    if (r % 10 != 0) {
-      key = key_range - 1 - hot.next(rng);
-    } else {
-      key = (r >> 32) & (key_range - 1);
-    }
-    const int op = static_cast<int>((r >> 8) % 100);
     if (op < read_pct) {
       benchmark::DoNotOptimize(set.contains(key));
     } else if (op < read_pct + insert_pct) {

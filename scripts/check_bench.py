@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Gate the checked-in BENCH_<suite>.json artifacts on their experiment
-contracts: E7 hash tables, E11 reclaim matrix, E16/E20 combining engines,
-E17 skiplist recovery, E18 sorted batches, E19 serving tier.
+contracts: E7 hash tables, E8 search structures, E11 reclaim matrix,
+E16/E20 combining engines, E18 sorted batches, E19 serving tier.
 
 One skeleton, one spec per suite (SPECS).  Two layers, because CI smoke
 runs (min_time ~1ms) produce real rows but meaningless timings:
@@ -78,10 +78,6 @@ def positive(v):
     return v > 0
 
 
-def zero(v):
-    return v == 0
-
-
 # ---------------------------------------------------------------------------
 # combining — E16 engine comparison, E20 engine progress
 # ---------------------------------------------------------------------------
@@ -148,110 +144,6 @@ def combining_spec():
 
 
 # ---------------------------------------------------------------------------
-# skiplists — E17 recovery ablation
-# ---------------------------------------------------------------------------
-
-# Zipf legs: local/restart wall clock and restart/local comparison work at
-# T=8 are printed, never gated.  On the 4-vCPU host (two invocations) the
-# zipf mix produces 0.01-0.05 recovery events per op, so the ablation's
-# ceiling (1 + restarts/op) sits inside the noise: the T=8 ratios read
-# 0.84-1.02 wall and 0.99-1.05 comparisons.  See EXPERIMENTS.md E17.
-# Uniform legs ("backlinks are free when idle"): both variants run
-# identical code until a conflict and the uniform mix's conflicts are
-# negligible, so comparison work must match within UNIFORM_CPO_TOLERANCE
-# (0.993-1.004 in both invocations on the 4-vCPU host).  Wall clock only
-# backstops gross regressions (UNIFORM_TOLERANCE): the same rows read
-# 0.90-1.12 there.
-UNIFORM_TOLERANCE = 0.25
-UNIFORM_CPO_TOLERANCE = 0.02
-
-SKIP_THREADS = (1, 2, 4, 8)
-SKIP_ALPHAS = (9, 12)
-SKIP_COUNTERS = ("backtracks_per_op", "head_restarts_per_op", "helps_per_op",
-                 "comparisons_per_op")
-
-
-def uniform_row(variant, threads):
-    return ("BM_SkipRecoveryUniform<LockFreeSkip%s>/repeats:5/"
-            "real_time/threads:%d_median" % (variant, threads))
-
-
-def zipf_row(variant, alpha, threads):
-    return ("BM_SkipRecoveryZipf<LockFreeSkip%s>/%d/repeats:5/"
-            "real_time/threads:%d_median" % (variant, alpha, threads))
-
-
-def skiplists_spec():
-    def zipf(variant, threads=SKIP_THREADS):
-        return [zipf_row(variant, a, t) for a in SKIP_ALPHAS for t in threads]
-
-    def ratios(rows):
-        def get(name, key):
-            return rows[name].get(key, 0)
-
-        out = []
-        for a in SKIP_ALPHAS:
-            loc, res = zipf_row("Local", a, 8), zipf_row("Restart", a, 8)
-            tag = "zipf alpha=%.1f T=8" % (a / 10)
-            out.append(("%s: local/restart wall" % tag,
-                        get(loc, "items_per_second") /
-                        get(res, "items_per_second"), None, None))
-            out.append(("%s: restart/local comparisons" % tag,
-                        get(res, "comparisons_per_op") /
-                        max(get(loc, "comparisons_per_op"), 1e-9),
-                        None, None))
-        for t in SKIP_THREADS:
-            loc, res = uniform_row("Local", t), uniform_row("Restart", t)
-            out.append(("uniform T=%d: local/restart wall" % t,
-                        get(loc, "items_per_second") /
-                        get(res, "items_per_second"),
-                        1.0 - UNIFORM_TOLERANCE, None))
-            out.append(("uniform T=%d: local/restart comparisons" % t,
-                        get(loc, "comparisons_per_op") /
-                        max(get(res, "comparisons_per_op"), 1e-9),
-                        1.0 - UNIFORM_CPO_TOLERANCE,
-                        1.0 + UNIFORM_CPO_TOLERANCE))
-        return out
-
-    return {
-        "rows": {
-            "uniform": [uniform_row(v, t) for v in ("Local", "Restart")
-                        for t in SKIP_THREADS],
-            "zipf": zipf("Local") + zipf("Restart"),
-            "zipf_local": zipf("Local"),
-            "zipf_restart": zipf("Restart"),
-            "contended_local": zipf("Local", (4, 8)),
-            "contended_restart": zipf("Restart", (4, 8)),
-        },
-        # Knob purity is safe at any run length: absence of the other
-        # variant's events is expected even in a 1ms smoke run, presence is
-        # a leak.
-        "checks": [
-            ("zipf", need(*SKIP_COUNTERS)),
-            ("zipf_local", holds("head_restarts_per_op", zero,
-                                 "head restarts on the Local variant"
-                                 " (knob leak)")),
-            ("zipf_restart", holds("backtracks_per_op", zero,
-                                   "backtracks on the Restart variant"
-                                   " (knob leak)")),
-            ("uniform", need("comparisons_per_op")),
-        ],
-        # Conflict evidence: a perf artifact with idle counters means the
-        # contention harness silently stopped producing conflicts and every
-        # ratio is measuring nothing.
-        "perf_checks": [
-            ("contended_local", holds("backtracks_per_op", positive,
-                                      "no backtracks, the harness produced"
-                                      " no conflicts")),
-            ("contended_restart", holds("head_restarts_per_op", positive,
-                                        "no head restarts, the harness"
-                                        " produced no conflicts")),
-        ],
-        "ratios": ratios,
-    }
-
-
-# ---------------------------------------------------------------------------
 # batched — E18 sorted-batch sweep
 # ---------------------------------------------------------------------------
 
@@ -286,9 +178,9 @@ def fanout_row(batch, threads):
             "threads:%d_median" % (batch, threads))
 
 
-def lfsl_row(variant, threads):
-    return ("BM_LfslMixedWrite<Lfsl%s>/repeats:5/real_time/threads:%d_median"
-            % (variant, threads))
+def lfsl_row(threads):
+    return ("BM_LfslMixedWrite<LfslLocal>/repeats:5/real_time/threads:%d_median"
+            % threads)
 
 
 def batch_arg(row):
@@ -309,7 +201,7 @@ def batched_spec():
                 BULK_FLOOR if leg == "Seq" else None, None)
                for leg in ("Seq", "Random")]
         out.append(("mixed-write T=8: LfslLocal/Batched512 comparisons",
-                    cpo(lfsl_row("Local", 8)) /
+                    cpo(lfsl_row(8)) /
                     max(cpo(mixed_row(512, 8)), 1e-9), MIXED_CPO_FLOOR, None))
         return out
 
@@ -321,8 +213,7 @@ def batched_spec():
                         for t in BATCH_THREADS] +
                        [fanout_row(b, t) for b in FAN_BATCHES
                         for t in BATCH_THREADS],
-            "baseline": [lfsl_row(v, t) for v in ("Local", "Restart")
-                         for t in BATCH_THREADS],
+            "baseline": [lfsl_row(t) for t in BATCH_THREADS],
             "fanout512": [fanout_row(512, t) for t in BATCH_THREADS],
             "fanout512_t8": [fanout_row(512, 8)],
         },
@@ -447,6 +338,8 @@ def ycsb_spec():
 # striped rows' wall clock swings with lock-holder preemption.
 HASH_MAPS = ("CoarseMap", "StripedMap", "SwissMap")
 HASH_SETS = ("SplitOrderedHP", "SplitOrderedEBR")
+# bench_util.hpp's CCDS_BENCH_MIX_ARGS {read%, insert%} and
+# CCDS_BENCH_THREADS, shared with E8.
 HASH_MIXES = ((90, 9), (70, 20), (50, 25), (0, 50))
 HASH_THREADS = (1, 2, 4, 8)
 
@@ -466,6 +359,32 @@ def hashmaps_spec():
         },
         "checks": [
             ("*", need(*FAIRNESS_SCHEMA)),
+            ("all", holds("items_per_second", positive,
+                          "no operations measured")),
+        ],
+    }
+
+
+# ---------------------------------------------------------------------------
+# skiplists — E8 search structures
+# ---------------------------------------------------------------------------
+
+# Structural only, like E7: every skip list and tree at every mix and
+# thread count.  The artifact's E17 rows, from the recovery ablation since
+# deleted, are E17's record and required by nothing.
+SEARCH_SETS = ("CoarseSkip", "LazySkip", "LockFreeSkip", "CoarseAvl",
+               "TombstoneBst", "FineBst")
+
+
+def skiplists_spec():
+    return {
+        "rows": {
+            "all": ["BM_SearchMix<%s>/%d/%d/real_time/threads:%d"
+                    % (impl, mix[0], mix[1], threads) for impl in SEARCH_SETS
+                    for mix in HASH_MIXES for threads in HASH_THREADS],
+        },
+        "checks": [
+            ("all", need(*FAIRNESS_SCHEMA)),
             ("all", holds("items_per_second", positive,
                           "no operations measured")),
         ],

@@ -37,11 +37,6 @@
 // O(1) step back, preventing the restart cascades both exemplar studies
 // identify as the dominant contention cost (4-6x at high thread counts).
 //
-// The `Recovery` knob keeps the ablation honest: kRestart runs the SAME
-// flag/mark/unlink protocol but re-descends from the head wherever kLocal
-// would take a backlink (and on failed snips), isolating the recovery
-// strategy itself — benchmarked as E17 in bench_skiplists.
-//
 // Deletion order across levels: a remover completes the protocol on every
 // upper level (top-down) before touching level 0, and an upper level the
 // victim was never linked at is still MARKED (mark_unlinked_level) so a
@@ -63,8 +58,8 @@
 // marked node's backlink is immutable, so there is no source to validate a
 // hazard against — the target may have been retired before the hazard was
 // published.  Those instantiations therefore keep the mark-only protocol
-// with hand-over-hand protection and head-restart recovery (`Recovery` is
-// ignored; the flag bit never appears):
+// with hand-over-hand protection and head-restart recovery (the flag bit
+// never appears):
 //
 //   * A marked pred->next[level] means pred was logically deleted under us;
 //     its frozen link may name an already-freed successor, so the traversal
@@ -94,40 +89,11 @@
 
 namespace ccds {
 
-// Recovery strategy after a failed CAS / marked predecessor: backlink-local
-// (Fomitchev–Ruppert) or re-descend from the head (the classic baseline —
-// kept selectable so E17 can ablate recovery in isolation).
-enum class SkipListRecovery { kLocal, kRestart };
-
 // SkipListLevels (kRandom / kKeyed tower-height policy) lives in
 // skiplist/seq_skiplist.hpp, shared with the sequential structure.
 
-// Optional recovery-event counters (define CCDS_SKIPLIST_STATS before
-// including): how often each recovery path actually fired, so the E17
-// artifact can report the conflict rate alongside wall-clock throughput —
-// a throughput ratio without the event counts would not show WHY the
-// variants diverge.  Zero-cost when disabled.
-#ifdef CCDS_SKIPLIST_STATS
-struct SkipListStats {
-  // A backtrack is one backlink-chain escape (kLocal); a head_restart is
-  // one full re-descent (kRestart); a help is one completed help_flagged.
-  static inline std::atomic<std::uint64_t> backtracks{0};
-  static inline std::atomic<std::uint64_t> head_restarts{0};
-  static inline std::atomic<std::uint64_t> helps{0};
-  static void reset() noexcept {
-    backtracks.store(0, std::memory_order_relaxed);     // relaxed: stats
-    head_restarts.store(0, std::memory_order_relaxed);  // relaxed: stats
-    helps.store(0, std::memory_order_relaxed);          // relaxed: stats
-  }
-};
-#define CCDS_SKIPLIST_COUNT(field) ::ccds::SkipListStats::field.fetch_add(1, std::memory_order_relaxed)  // relaxed: stats
-#else
-#define CCDS_SKIPLIST_COUNT(field) ((void)0)
-#endif
-
 template <typename Key, typename Compare = std::less<Key>,
           reclaimer Domain = EpochDomain,
-          SkipListRecovery Recovery = SkipListRecovery::kLocal,
           SkipListLevels Levels = SkipListLevels::kRandom>
 class LockFreeSkipListSet {
   static_assert(!reclaimer_traits<Domain>::pointer_based ||
@@ -278,10 +244,9 @@ class LockFreeSkipListSet {
     std::atomic<Node*> backlink[kSkipListMaxLevel] = {};
   };
 
+  // Pointer-based domains run the mark-only protocol: backlinks are only
+  // sound under blanket protection (header comment).
   static constexpr bool kPointerBased = reclaimer_traits<Domain>::pointer_based;
-  // Backlinks are only sound under blanket protection (header comment).
-  static constexpr bool kLocalRecovery =
-      Recovery == SkipListRecovery::kLocal && !kPointerBased;
   // Scratch slots past the preds/succs banks (HP mode only).
   static constexpr std::size_t kPredSlot = 2 * kSkipListMaxLevel;
   static constexpr std::size_t kCurrSlot = 2 * kSkipListMaxLevel + 1;
@@ -325,7 +290,6 @@ class LockFreeSkipListSet {
   // mark_unlinked_level() on a never-linked level — by degrading to the
   // head (a full-width walk at this level, not a full re-descent).
   Node* backtrack(Node* n, int level, GuardT&) {
-    CCDS_SKIPLIST_COUNT(backtracks);
     do {
       Node* b = n->backlink[level].load(std::memory_order_acquire);
       n = b == nullptr ? head_ : b;
@@ -364,7 +328,6 @@ class LockFreeSkipListSet {
       }
     }
     help_marked(pred, victim, level, g);
-    CCDS_SKIPLIST_COUNT(helps);
   }
 
   // Mark victim at a level it is NOT linked at (try_flag returned kGone),
@@ -390,23 +353,17 @@ class LockFreeSkipListSet {
 
   // Level-local window search: starting from `pred` (pred->key < key, or
   // the head), walk right at `level` until pred->key < key <= curr->key,
-  // helping complete any deletion in the way.  kLocal never fails; kRestart
-  // returns false where kLocal would have taken a backlink (or retried a
-  // snip), asking the caller to re-descend from the head — the ablation
-  // baseline.
-  bool search_level(const Key& key, int level, Node*& pred_io, Node*& curr_out,
+  // helping complete any deletion in the way.  Never fails: a marked pred
+  // is escaped through its backlinks, never by re-descending.
+  void search_level(const Key& key, int level, Node*& pred_io, Node*& curr_out,
                     GuardT& g) {
     Node* pred = pred_io;
     Node* curr;
     for (;;) {
       Node* raw = pred->next[level].load(std::memory_order_acquire);
       if (is_marked(raw)) {
-        if constexpr (kLocalRecovery) {
-          pred = backtrack(pred, level, g);
-          continue;
-        } else {
-          return false;
-        }
+        pred = backtrack(pred, level, g);
+        continue;
       }
       curr = strip(raw);
       if (is_flagged(raw)) {
@@ -421,11 +378,9 @@ class LockFreeSkipListSet {
         // resurrected the link (or mark_unlinked_level beat the inserter).
         // Snip it directly — there is no flagged pred to help through.
         Node* expected = curr;
-        if (!pred->next[level].compare_exchange_strong(
-                expected, strip(csucc), std::memory_order_release,
-                std::memory_order_relaxed)) {  // relaxed: loop re-reads
-          if constexpr (!kLocalRecovery) return false;  // baseline restarts
-        }
+        pred->next[level].compare_exchange_strong(
+            expected, strip(csucc), std::memory_order_release,
+            std::memory_order_relaxed);  // relaxed: loop re-reads
         continue;
       }
       if (comp_(curr->key, key)) {
@@ -436,60 +391,43 @@ class LockFreeSkipListSet {
     }
     pred_io = pred;
     curr_out = curr;
-    return true;
   }
 
   // Full-height window search (blanket flavor).  On return preds[l] /
   // succs[l] bracket `key` at level l; returns whether succs[0] holds
-  // `key`.  In kLocal mode a single descent always completes (all recovery
-  // is level-local); in kRestart mode the descent re-runs from the head
-  // whenever search_level reports a conflict.
+  // `key`.  One descent always completes: all recovery is level-local.
   bool find(const Key& key, Node** preds, Node** succs, GuardT& g) {
     if constexpr (kPointerBased) {
       return find_hp(key, preds, succs, g);
     } else {
-      for (;;) {
-        Node* pred = head_;
-        bool restart = false;
-        for (int level = kSkipListMaxLevel - 1; level >= 0; --level) {
-          Node* curr;
-          if (!search_level(key, level, pred, curr, g)) {
-            restart = true;
-            break;
-          }
-          preds[level] = pred;
-          succs[level] = curr;
-        }
-        if (restart) {
-          CCDS_SKIPLIST_COUNT(head_restarts);
-          continue;  // kRestart mode only
-        }
-        Node* bottom = succs[0];
-        return bottom != nullptr && !comp_(key, bottom->key) &&
-               !comp_(bottom->key, key);
+      Node* pred = head_;
+      for (int level = kSkipListMaxLevel - 1; level >= 0; --level) {
+        Node* curr;
+        search_level(key, level, pred, curr, g);
+        preds[level] = pred;
+        succs[level] = curr;
       }
+      Node* bottom = succs[0];
+      return bottom != nullptr && !comp_(key, bottom->key) &&
+             !comp_(bottom->key, key);
     }
   }
 
-  enum class FlagResult { kWon, kLost, kGone, kRestart };
+  enum class FlagResult { kWon, kLost, kGone };
 
   // Step 1: place the deletion flag on victim's level-`level` predecessor.
   // `pred` is a search hint (pred->key < victim->key); on kWon/kLost it is
   // updated to the flagged pred.  kWon = OUR CAS placed the flag (at the
   // bottom level this elects the winning remover), kLost = another
   // deleter's flag is standing, kGone = victim is no longer linked at this
-  // level, kRestart = kRestart-mode conflict (caller re-descends).
+  // level.
   FlagResult try_flag(Node*& pred, Node* victim, int level, GuardT& g) {
     for (;;) {
       Node* raw = pred->next[level].load(std::memory_order_acquire);
       if (raw == flag(victim)) return FlagResult::kLost;
       if (is_marked(raw)) {
-        if constexpr (kLocalRecovery) {
-          pred = backtrack(pred, level, g);
-          continue;
-        } else {
-          return FlagResult::kRestart;
-        }
+        pred = backtrack(pred, level, g);
+        continue;
       }
       if (is_flagged(raw)) {
         help_flagged(pred, strip(raw), level, g);
@@ -497,9 +435,7 @@ class LockFreeSkipListSet {
       }
       if (strip(raw) != victim) {
         Node* curr;
-        if (!search_level(victim->key, level, pred, curr, g)) {
-          return FlagResult::kRestart;
-        }
+        search_level(victim->key, level, pred, curr, g);
         if (curr != victim) return FlagResult::kGone;
         continue;  // re-read pred->next: it may already carry the flag
       }
@@ -515,28 +451,11 @@ class LockFreeSkipListSet {
   // Complete the deletion protocol for `victim` at one UPPER level: flag +
   // help if linked, force-mark if not.  Whatever the interleaving, victim
   // is marked at `level` when this returns.
-  void delete_upper_level(Node* start_pred, Node* victim, int level,
-                          GuardT& g) {
-    Node* pred = start_pred;
-    for (;;) {
-      FlagResult r = try_flag(pred, victim, level, g);
-      if (r == FlagResult::kWon || r == FlagResult::kLost) {
-        help_flagged(pred, victim, level, g);
-        return;
-      }
-      if (r == FlagResult::kGone) {
-        mark_unlinked_level(victim, level, g);
-        return;
-      }
-      // kRestart: full O(log n) re-descent to rebuild the window hint (a
-      // level-local walk from the head would be an O(n) strawman at the
-      // bottom levels, overstating the restart penalty the ablation
-      // measures).
-      CCDS_SKIPLIST_COUNT(head_restarts);
-      Node* ps[kSkipListMaxLevel];
-      Node* ss[kSkipListMaxLevel];
-      find(victim->key, ps, ss, g);
-      pred = ps[level];
+  void delete_upper_level(Node* pred, Node* victim, int level, GuardT& g) {
+    if (try_flag(pred, victim, level, g) == FlagResult::kGone) {
+      mark_unlinked_level(victim, level, g);
+    } else {
+      help_flagged(pred, victim, level, g);
     }
   }
 
@@ -553,35 +472,23 @@ class LockFreeSkipListSet {
         delete_upper_level(preds[level], victim, level, g);
       }
       Node* pred = preds[0];
-      for (;;) {
-        FlagResult r = try_flag(pred, victim, 0, g);
-        if (r == FlagResult::kWon) {
-          // Linearization point: the mark help_flagged is about to place.
-          help_flagged(pred, victim, 0, g);
-          // One full search pass snips any link a racing insert resurrected
-          // (search_level's clean-link-to-marked-node branch), after which
-          // the victim is unreachable at every level.
-          Node* ps[kSkipListMaxLevel];
-          Node* ss[kSkipListMaxLevel];
-          find(key, ps, ss, g);
-          domain_.retire(victim);
-          return true;
-        }
-        if (r == FlagResult::kLost) {
-          help_flagged(pred, victim, 0, g);  // finish the winner's work
-          return false;
-        }
-        if (r == FlagResult::kGone) return false;
-        // kRestart: full re-descent (see delete_upper_level).  If the
-        // victim is no longer the bottom-level successor, another remover
-        // finished it (or it was reinserted as a fresh node) — either way
-        // we did not win the election.
-        CCDS_SKIPLIST_COUNT(head_restarts);
+      const FlagResult r = try_flag(pred, victim, 0, g);
+      if (r == FlagResult::kWon) {
+        // Linearization point: the mark help_flagged is about to place.
+        help_flagged(pred, victim, 0, g);
+        // One full search pass snips any link a racing insert resurrected
+        // (search_level's clean-link-to-marked-node branch), after which
+        // the victim is unreachable at every level.
         Node* ps[kSkipListMaxLevel];
         Node* ss[kSkipListMaxLevel];
-        if (!find(key, ps, ss, g) || ss[0] != victim) return false;
-        pred = ps[0];
+        find(key, ps, ss, g);
+        domain_.retire(victim);
+        return true;
       }
+      if (r == FlagResult::kLost) {
+        help_flagged(pred, victim, 0, g);  // finish the winner's work
+      }
+      return false;
     }
   }
 
@@ -622,26 +529,16 @@ class LockFreeSkipListSet {
               std::memory_order_relaxed)) {  // relaxed: failure path re-searches
         break;
       }
-      // CAS failed: repair the window without leaving level 0 (kLocal) or
-      // re-descend (kRestart), helping any deletion that got in the way.
+      // CAS failed: repair the window without leaving level 0, helping any
+      // deletion that got in the way.
       Node* raw = pred->next[0].load(std::memory_order_acquire);
       if (is_flagged(raw)) help_flagged(pred, strip(raw), 0, g);
-      if constexpr (kLocalRecovery) {
-        if (is_marked(pred->next[0].load(std::memory_order_acquire))) {
-          pred = backtrack(pred, 0, g);
-        }
-        Node* curr;
-        search_level(key, 0, pred, curr, g);  // kLocal: cannot fail
-        succ = curr;
-      } else {
-        CCDS_SKIPLIST_COUNT(head_restarts);
-        if (find(key, preds, succs, g)) {
-          delete n;  // n is still private; plain delete is fine
-          return false;
-        }
-        pred = preds[0];
-        succ = succs[0];
+      if (is_marked(pred->next[0].load(std::memory_order_acquire))) {
+        pred = backtrack(pred, 0, g);
       }
+      Node* curr;
+      search_level(key, 0, pred, curr, g);
+      succ = curr;
       if (succ != nullptr && !comp_(key, succ->key) &&
           !comp_(succ->key, key)) {
         delete n;  // duplicate appeared while we retried; n never published
@@ -690,25 +587,14 @@ class LockFreeSkipListSet {
           break;
         }
         // Link failed: repair this level's window.
-        if constexpr (kLocalRecovery) {
-          Node* raw = lpred->next[level].load(std::memory_order_acquire);
-          if (is_flagged(raw)) help_flagged(lpred, strip(raw), level, g);
-          if (is_marked(lpred->next[level].load(std::memory_order_acquire))) {
-            lpred = backtrack(lpred, level, g);
-          }
-          Node* curr;
-          search_level(key, level, lpred, curr, g);  // kLocal: cannot fail
-          lsucc = curr;
-        } else {
-          CCDS_SKIPLIST_COUNT(head_restarts);
-          if (find(key, preds, succs, g)) {
-            if (succs[0] != n) return true;  // removed (+ maybe reinserted)
-          } else {
-            return true;  // removed entirely; find snipped any leftovers
-          }
-          lpred = preds[level];
-          lsucc = succs[level];
+        Node* raw = lpred->next[level].load(std::memory_order_acquire);
+        if (is_flagged(raw)) help_flagged(lpred, strip(raw), level, g);
+        if (is_marked(lpred->next[level].load(std::memory_order_acquire))) {
+          lpred = backtrack(lpred, level, g);
         }
+        Node* curr;
+        search_level(key, level, lpred, curr, g);
+        lsucc = curr;
       }
     }
     return true;

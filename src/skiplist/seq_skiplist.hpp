@@ -43,11 +43,12 @@ inline int skiplist_random_level() noexcept {
 // Deterministic geometric level draw keyed on a hash of the element: the
 // same key always gets the same tower height, so a set's shape is a pure
 // function of its key set, independent of insertion order, thread
-// interleaving, or churn history.  The E17 ablation harness uses this
-// (SkipListLevels::kKeyed) to compare two variants on structurally
-// identical sets — with RNG levels, remove/reinsert churn makes two
+// interleaving, or churn history.  E18's bench rows use this
+// (SkipListLevels::kKeyed) so that structures holding the same keys have
+// the same shape — with RNG levels, remove/reinsert churn makes two
 // long-lived sets drift apart structurally, and the resulting few-percent
-// traversal-cost asymmetry is the same order as the effect under test.
+// traversal-cost asymmetry is the same order as the effects compared —
+// and the model suites use it for schedule-independent towers.
 // Mixer is splitmix64's finalizer (avalanches low bits, which ctz reads).
 inline int skiplist_keyed_level(std::uint64_t h) noexcept {
   h ^= h >> 30;

@@ -149,10 +149,6 @@ template <typename D>
 using LazySkipSet = LazySkipListSet<Key, std::less<Key>, TtasLock, D>;
 template <typename D>
 using LockFreeSkipSet = LockFreeSkipListSet<Key, std::less<Key>, D>;
-// The kRestart recovery ablation is shipped code (bench_skiplists.cpp).
-template <typename D>
-using RestartSkipSet = LockFreeSkipListSet<Key, std::less<Key>, D,
-                                           SkipListRecovery::kRestart>;
 template <template <typename> class E>
 using BatchedSet = BatchedSkipListSet<Key, std::less<Key>, E>;
 using BatchedSets = CrossEngines<BatchedSet>;
@@ -179,7 +175,7 @@ using Sets = Concat<
     List<SplitOrderedHashSet<Key, CollisionRunHash>, CoarseSkipListSet<Key>,
          CoarseAvlSet<Key>, TombstoneBstSet<Key>, FineBstSet<Key>>,
     Cross<LazySkipSet, Reclaimers>, Cross<LockFreeSkipSet, Reclaimers>,
-    Cross<RestartSkipSet, Reclaimers>, BatchedSets>;
+    BatchedSets>;
 // Not thread-safe: the sequential check only.
 using SequentialSets = List<SeqSkipListSet<Key>, SeqAvlSet<Key>>;
 
@@ -276,8 +272,11 @@ using QuiescentCounters = List<NetworkCounter<4>, NetworkCounter<8>>;
 
 using PQueues = List<CoarsePriorityQueue<std::uint32_t>>;
 // SkipListPriorityQueue::pop_min is not linearizable (a pop may miss a
-// smaller key pushed while it runs): no live history.
-using RelaxedPQueues = List<SkipListPriorityQueue<std::uint32_t>>;
+// smaller key pushed while it runs): no live history.  Under every policy,
+// since the hazard-pointer pop_min walks and snips on its own path.
+template <typename D>
+using SkipPQ = SkipListPriorityQueue<std::uint32_t, D>;
+using RelaxedPQueues = Cross<SkipPQ, Reclaimers>;
 
 // ---------- run sizes ----------
 
