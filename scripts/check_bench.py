@@ -370,8 +370,7 @@ def hashmaps_spec():
 # ---------------------------------------------------------------------------
 
 # Structural only, like E7: every skip list and tree at every mix and
-# thread count.  The artifact's E17 rows, from the recovery ablation since
-# deleted, are E17's record and required by nothing.
+# thread count, so E8's table can be read from any artifact.
 SEARCH_SETS = ("CoarseSkip", "LazySkip", "LockFreeSkip", "CoarseAvl",
                "TombstoneBst", "FineBst")
 
