@@ -149,6 +149,11 @@ template <typename D>
 using LazySkipSet = LazySkipListSet<Key, std::less<Key>, TtasLock, D>;
 template <typename D>
 using LockFreeSkipSet = LockFreeSkipListSet<Key, std::less<Key>, D>;
+// Towers drawn from the key, as E18's lock-free arm (bench_batched.cpp)
+// runs it: a key removed and inserted again gets the same height.
+template <typename D>
+using KeyedLockFreeSkipSet =
+    LockFreeSkipListSet<Key, std::less<Key>, D, SkipListLevels::kKeyed>;
 template <template <typename> class E>
 using BatchedSet = BatchedSkipListSet<Key, std::less<Key>, E>;
 using BatchedSets = CrossEngines<BatchedSet>;
@@ -175,7 +180,7 @@ using Sets = Concat<
     List<SplitOrderedHashSet<Key, CollisionRunHash>, CoarseSkipListSet<Key>,
          CoarseAvlSet<Key>, TombstoneBstSet<Key>, FineBstSet<Key>>,
     Cross<LazySkipSet, Reclaimers>, Cross<LockFreeSkipSet, Reclaimers>,
-    BatchedSets>;
+    Cross<KeyedLockFreeSkipSet, Reclaimers>, BatchedSets>;
 // Not thread-safe: the sequential check only.
 using SequentialSets = List<SeqSkipListSet<Key>, SeqAvlSet<Key>>;
 
