@@ -26,6 +26,7 @@
 #include <thread>
 
 #include "core/arch.hpp"
+#include "core/asymmetric_fence.hpp"
 #include "core/rng.hpp"
 
 namespace ccds::bench {
@@ -48,6 +49,13 @@ inline constexpr int kBenchMaxThreads = 8;
 //     series is a preemption-storm measurement, not a parallelism one; the
 //     flag makes every artifact self-describing instead of relying on a
 //     footnote in EXPERIMENTS.md.
+//   ccds_fence_protocol    — the reclaimers' Dekker protocol this build
+//     runs: "asymmetric", or "classic" under CCDS_TSAN_SOUND
+//     (core/asymmetric_fence.hpp).  Both builds emit rows of the same
+//     names, so E11's before/after artifacts differ only in this stamp.
+//   asymmetric_heavy_backend — what the reclaimer-side barrier resolved
+//     to on this host: "membarrier", or "seq_cst_fence" (a local fence,
+//     under which the asymmetric protocol degrades to the classic one).
 inline const bool kContextRegistered = [] {
 #ifdef NDEBUG
   benchmark::AddCustomContext("ccds_build_type", "release");
@@ -61,6 +69,16 @@ inline const bool kContextRegistered = [] {
   benchmark::AddCustomContext(
       "oversubscribed",
       static_cast<unsigned>(kBenchMaxThreads) > hw ? "true" : "false");
+#if defined(CCDS_TSAN_SOUND)
+  benchmark::AddCustomContext("ccds_fence_protocol", "classic");
+#else
+  benchmark::AddCustomContext("ccds_fence_protocol", "asymmetric");
+#endif
+  benchmark::AddCustomContext(
+      "asymmetric_heavy_backend",
+      asymmetric_heavy_backend() == AsymmetricHeavyBackend::kMembarrier
+          ? "membarrier"
+          : "seq_cst_fence");
   return true;
 }();
 

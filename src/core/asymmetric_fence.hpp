@@ -49,6 +49,15 @@
 // smp_mb()"), so ccds-verify explores the protocol with its real semantics
 // and catches a reclaimer that wrongly uses the light barrier
 // (tests/model/test_model_reclaim.cpp).
+//
+// THE PROTOCOL, ONCE PER BUILD.  The hazard, epoch and QSBR domains run
+// their Dekker through the three helpers at the end of this header and
+// never choose an arm themselves; the build does.  By default:
+// dekker_publish() is a release store plus asymmetric_light(),
+// dekker_load() an acquire load, and dekker_sweep_barrier()
+// asymmetric_heavy().  Under CCDS_TSAN_SOUND they are the classic
+// symmetric protocol: a seq_cst store, a seq_cst load and no barrier.
+// E11's before/after is therefore an A/B of two builds of one commit.
 #pragma once
 
 #include <atomic>
@@ -81,18 +90,6 @@
 #endif
 
 namespace ccds {
-
-// False when CCDS_TSAN_SOUND forces the classic symmetric protocol.  The
-// reclaimer domains (hazard/epoch/qsbr) default their Asymmetric template
-// parameter to this constant and static_assert against an explicit
-// Asymmetric=true instantiation when it is false — a TSan build that
-// selects an asymmetric-fence domain FAILS TO COMPILE rather than
-// silently skipping or, worse, running an unverifiable protocol.
-#if defined(CCDS_TSAN_SOUND)
-inline constexpr bool kAsymmetricFencesAllowed = false;
-#else
-inline constexpr bool kAsymmetricFencesAllowed = true;
-#endif
 
 #if !defined(CCDS_MODEL) && defined(__linux__)
 namespace detail {
@@ -186,7 +183,7 @@ inline bool asymmetric_light_is_fence() noexcept {
 
 // Which implementation asymmetric_heavy() resolves to at runtime — surfaced
 // so tests can assert the fast path is actually exercised on Linux CI and
-// the benchmark JSON records what was measured.
+// the benchmark JSON records what was measured (bench/bench_util.hpp).
 enum class AsymmetricHeavyBackend { kMembarrier, kSeqCstFence, kModel };
 
 inline AsymmetricHeavyBackend asymmetric_heavy_backend() noexcept {
@@ -219,6 +216,47 @@ inline void asymmetric_heavy() noexcept {
   }
 #endif
   std::atomic_thread_fence(std::memory_order_seq_cst);
+#endif
+}
+
+// The reclaimers' Dekker, one arm per build (header comment).  The reader
+// side is always_inline for the reason asymmetric_light() is: hazard's
+// protect() publishes and validates on every list hop.
+
+// The reader's publication: a hazard slot or an epoch announcement.
+template <typename Atom, typename T>
+[[gnu::always_inline]] inline void dekker_publish(Atom& slot, T value) {
+#if defined(CCDS_TSAN_SOUND)
+  // asymmetric: OFF in this build — the classic publication pays the full
+  // fence itself, so it is sweep-visible before the validating re-read.
+  slot.store(value, std::memory_order_seq_cst);
+#else
+  // release + light barrier: a plain store where membarrier backs
+  // dekker_sweep_barrier(); a full fence on fallback platforms.
+  slot.store(value, std::memory_order_release);
+  asymmetric_light();
+#endif
+}
+
+// The reader's validating re-read and the reclaimer's sweep loads.  With
+// the sweep barrier, acquire suffices: if either side reads a stale value,
+// the other side's store preceded the barrier.  The classic protocol pairs
+// seq_cst loads with its seq_cst publication instead.
+template <typename Atom>
+[[gnu::always_inline]] inline auto dekker_load(const Atom& src) {
+#if defined(CCDS_TSAN_SOUND)
+  return src.load(std::memory_order_seq_cst);
+#else
+  return src.load(std::memory_order_acquire);
+#endif
+}
+
+// The reclaimer's side, once before each sweep of the published slots: the
+// heavy barrier that pays for every publication's elided fence.  The
+// classic protocol needs none; its publications are fenced.
+[[gnu::always_inline]] inline void dekker_sweep_barrier() {
+#if !defined(CCDS_TSAN_SOUND)
+  asymmetric_heavy();
 #endif
 }
 

@@ -58,23 +58,38 @@ class ThreadRegistry {
   // raises the ceiling, seq_cst) BEFORE its first store to any per-thread
   // slot array indexed by that id.
   //
-  // The load below is seq_cst so the classic fenced domains' sweep-bound
-  // argument runs entirely inside the seq_cst total order S: if a sweep's
-  // ceiling load misses a registration (load <_S raise-CAS), then every
-  // slot publication of that thread is also later in S, so by coherence no
-  // sweep load could have returned it anyway — the skipped slot is exactly
+  // The load below is seq_cst so the classic protocol's (CCDS_TSAN_SOUND)
+  // sweep-bound argument runs entirely inside the seq_cst total order S: if a
+  // sweep's ceiling load misses a registration (load <_S raise-CAS), then
+  // every slot publication of that thread is also later in S, so by coherence
+  // no sweep load could have returned it anyway — the skipped slot is exactly
   // the "empty slot" case the classic protocol's proof already covers (the
-  // reader's seq_cst validating load then observes the pre-sweep unlink
-  // and retries).  An acquire load would not participate in S and that
-  // argument would not hold.  The asymmetric domains get the same
-  // guarantee from the membarrier pairwise property instead ("all earlier
-  // stores of every thread are visible after the heavy barrier"), provided
-  // the scanner reads the ceiling after its asymmetric_heavy() call; the
-  // stronger load is harmless there — ceiling() is only called on
-  // amortized reclamation paths, never per-operation.
+  // reader's seq_cst validating load then observes the pre-sweep unlink and
+  // retries).  An acquire load would not participate in S and that argument
+  // would not hold.  The asymmetric protocol gets the same guarantee from the
+  // membarrier pairwise property instead ("all earlier stores of every thread
+  // are visible after the heavy barrier"), provided the scanner reads the
+  // ceiling after its asymmetric_heavy() call; the stronger load is harmless
+  // there — ceiling() is only called on amortized reclamation paths, never
+  // per-operation.
   std::size_t ceiling() const noexcept {
     return ceiling_.value.load(std::memory_order_seq_cst);
   }
+
+#if defined(CCDS_MODEL)
+  // Between model executions, with every model thread joined: lower the
+  // mark to the ids still held, as in a fresh process.  A mark carried over
+  // from the previous execution would widen sweeps that ran before a
+  // registration there, so a replayed schedule would not repeat.
+  void reset_ceiling() noexcept {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < kMaxThreads; ++i) {
+      // acquire: pairs with release(), like acquire()'s CAS.
+      if (in_use_[i]->load(std::memory_order_acquire)) n = i + 1;
+    }
+    ceiling_.value.store(n, std::memory_order_seq_cst);
+  }
+#endif
 
  private:
   ThreadRegistry() = default;

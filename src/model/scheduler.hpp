@@ -186,6 +186,9 @@ class ExecutionContext {
   // ---- driver side ---------------------------------------------------------
 
   void run(const std::function<void()>& fn) {
+    // Every execution registers its threads from scratch, so the reclaimers'
+    // registration-ceiling sweep bound is a function of the schedule too.
+    ccds::detail::ThreadRegistry::instance().reset_ceiling();
     {
       std::unique_lock<std::mutex> lk(m_);
       spawn_locked(lk, fn, /*parent=*/-1);

@@ -19,22 +19,18 @@
 
 #include <cstdint>
 
-#include "core/asymmetric_fence.hpp"
 #include "core/atomic.hpp"
 #include "reclaim/epoch_core.hpp"
 #include "reclaim/reclaim.hpp"
 
 namespace ccds {
 
-template <bool Asymmetric = kAsymmetricFencesAllowed>
-class BasicEpochDomain : public EpochCore<Asymmetric> {
-  using Core = EpochCore<Asymmetric>;
-
+class EpochDomain : public EpochCore {
  public:
   class Guard : public BlanketGuard {
    public:
     // Pin: the core's validated announcement.
-    explicit Guard(BasicEpochDomain& d) : slot_(&d.my_slot()) {
+    explicit Guard(EpochDomain& d) : slot_(&d.my_slot()) {
       d.announce(*slot_);
     }
 
@@ -43,7 +39,7 @@ class BasicEpochDomain : public EpochCore<Asymmetric> {
 
     // Unpin.  release: reads made inside the pinned region complete before
     // the announcement clears.
-    ~Guard() { slot_->store(Core::kInactive, std::memory_order_release); }
+    ~Guard() { slot_->store(kInactive, std::memory_order_release); }
 
    private:
     Atomic<std::uint64_t>* slot_;
@@ -52,19 +48,12 @@ class BasicEpochDomain : public EpochCore<Asymmetric> {
   Guard guard() { return Guard(*this); }
 };
 
-// Default domain used across the library: asymmetric announcement path.
-using EpochDomain = BasicEpochDomain<>;
-
-// Classic fully-fenced protocol — the E11 before/after baseline.
-using SeqCstEpochDomain = BasicEpochDomain</*Asymmetric=*/false>;
-
 // "Epoch+Lease" ablation policy: every guard() is a standing lease, so the
 // per-operation read path collapses to two cached loads (reclaim.hpp's
 // LeasedDomain has the trade-off discussion).
 using EpochLeaseDomain = LeasedDomain<EpochDomain>;
 
 static_assert(reclaimer<EpochDomain>);
-static_assert(reclaimer<SeqCstEpochDomain>);
 static_assert(reclaimer<EpochLeaseDomain>);
 static_assert(!reclaimer_traits<EpochDomain>::pointer_based);
 static_assert(reclaimer_traits<EpochDomain>::has_lease);

@@ -18,8 +18,8 @@
 // The validated announce is a store-load Dekker against try_advance():
 // the announcement must be advancer-visible before the validating re-read
 // of the global epoch.  The classic protocol pays a seq_cst store (a full
-// fence on x86) per announcement.  The default here is ASYMMETRIC
-// (liburcu's sys_membarrier flavor): a release store plus
+// fence on x86) per announcement.  A default build runs the ASYMMETRIC
+// protocol (liburcu's sys_membarrier flavor): a release store plus
 // asymmetric_light() — compiler-only where membarrier backs the heavy
 // side; a real fence on fallback platforms, where the pair degrades to the
 // classic symmetric protocol (core/asymmetric_fence.hpp) — while
@@ -33,9 +33,10 @@
 // ldar on ARM; only the seq_cst STORE was expensive), such a late
 // announcer validates against the true current epoch.  So the advancer can
 // never get more than one step ahead of any announced thread, which is
-// exactly what the grace-period arithmetic below assumes.
-// `Asymmetric = false` keeps the classic protocol as the E11 before/after
-// baseline.
+// exactly what the grace-period arithmetic below assumes.  The Dekker's
+// two halves are core/asymmetric_fence.hpp's dekker_* helpers, so a
+// CCDS_TSAN_SOUND build runs the classic protocol instead — E11's before
+// side.
 //
 // Grace-period arithmetic (`stamp + 3 <= epoch`): a retiring thread reads
 // its stamp s seq_cst, yet s may lag the instantaneous epoch by one while
@@ -59,13 +60,14 @@
 
 namespace ccds {
 
-template <bool Asymmetric>
 class EpochCore {
-  static_assert(!Asymmetric || kAsymmetricFencesAllowed,
-                "asymmetric-fence epoch/QSBR domain selected in a build "
-                "where asymmetric fences are unsound (CCDS_TSAN_SOUND): use "
-                "the default Asymmetric=kAsymmetricFencesAllowed or the "
-                "SeqCst* alias");
+  // The pass predicate: stamp + 3 <= E, E read once per pass under the
+  // pass latch (header comment has the arithmetic).  Defined above its
+  // callers, which need its deduced return type.
+  auto grace_passed() const {
+    const std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
+    return [e](const RetiredBags::Retired& r) { return r.stamp + 3 <= e; };
+  }
 
  public:
   static constexpr std::size_t kSlots = 8;  // ignored; API parity with HP
@@ -118,7 +120,7 @@ class EpochCore {
     auto& bag = bags_.push(p, global_epoch_.load(std::memory_order_seq_cst));
     // One advance attempt per kCollectThreshold retires, not one per retire
     // once the bag is full: while a pinned thread holds the epoch, every
-    // attempt fails, and in the asymmetric domains each one is a
+    // attempt fails, and under the asymmetric protocol each one is a
     // process-wide membarrier.
     if (bag.size() % kCollectThreshold == 0) {
       try_advance();
@@ -190,18 +192,9 @@ class EpochCore {
   void announce(Atomic<std::uint64_t>& slot) {
     for (;;) {
       const std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
-      if constexpr (Asymmetric) {
-        // release + light barrier: a plain store on x86/ARM.  The
-        // advancer-visibility of this announcement is try_advance()'s
-        // heavy barrier's job (see header comment).
-        slot.store(e, std::memory_order_release);
-        asymmetric_light();
-      } else {
-        // asymmetric: OFF — classic protocol, the announcement pays the
-        // full fence itself (seq_cst store) so it is advancer-visible
-        // before the validating re-read below.
-        slot.store(e, std::memory_order_seq_cst);
-      }
+      // Advancer-visible before the re-read below, by its own fence or by
+      // try_advance()'s sweep barrier (header comment).
+      dekker_publish(slot, e);
       // seq_cst: the validate must read the CURRENT epoch (not a stale
       // one), or an announcer could believe itself announced at e while
       // the epoch had already left e behind — one step of lag the
@@ -215,21 +208,16 @@ class EpochCore {
   // Advance the global epoch iff every announced thread has observed it.
   void try_advance() {
     const std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
-    if constexpr (Asymmetric) {
-      // The one heavy barrier that pays for every announcement's elided
-      // fence: every announcement made before this point is visible to the
-      // sweep below; one made after it validated against the current epoch
-      // (seq_cst re-read in announce()), so missing it here is benign — the
-      // announcer is at e, and advancing to e+1 keeps it within one step.
-      asymmetric_heavy();
-    }
+    // Every announcement made before the barrier is visible to the sweep
+    // below; one made after it validated against the current epoch
+    // (seq_cst re-read in announce()), so missing it here is benign — the
+    // announcer is at e, and advancing to e+1 keeps it within one step.
+    dekker_sweep_barrier();
     // Ceiling read after the barrier: see thread_registry.hpp for why any
     // announcement visible to this sweep is covered by the bound.
     const std::size_t nthreads = registered_ceiling();
     for (std::size_t t = 0; t < nthreads; ++t) {
-      const std::uint64_t l =
-          announce_[t]->load(Asymmetric ? std::memory_order_acquire
-                                        : std::memory_order_seq_cst);
+      const std::uint64_t l = dekker_load(announce_[t].value);
       if (l != kInactive && l != e) return;  // straggler: cannot advance
     }
     std::uint64_t expected = e;
@@ -246,13 +234,6 @@ class EpochCore {
 
   void reclaim(RetiredBags::Bag& bag) {
     bags_.reclaim(bag, [this] { return grace_passed(); });
-  }
-
-  // The pass predicate: stamp + 3 <= E, E read once per pass under the
-  // pass latch (header comment has the arithmetic).
-  auto grace_passed() const {
-    const std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
-    return [e](const RetiredBags::Retired& r) { return r.stamp + 3 <= e; };
   }
 
   RetiredBags bags_;

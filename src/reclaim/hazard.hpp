@@ -7,7 +7,7 @@
 //
 // The classic algorithm pays a store+FULL-FENCE+reload on every protected
 // read (the store-load Dekker between publication and the reclaimer's scan).
-// Here the default protocol is ASYMMETRIC (folly/hazptr technique): the
+// A default build runs the ASYMMETRIC protocol (folly/hazptr technique): the
 // reader publishes with a release store plus asymmetric_light() — a
 // compiler-only barrier, i.e. a plain store on x86/ARM, wherever membarrier
 // backs the heavy side; on fallback platforms the light barrier is a real
@@ -20,8 +20,9 @@
 // after the barrier, in which case the reclaimer's earlier unlink is
 // visible to the reader's program-order-later validating re-read, which
 // therefore fails and the reader never dereferences the retired node.
-// `Asymmetric = false` keeps the classic fully-fenced protocol — the
-// before/after baseline for bench_reclaim and the ablation suite.
+// The domain runs its Dekker through core/asymmetric_fence.hpp's dekker_*
+// helpers, so a CCDS_TSAN_SOUND build runs the classic fully-fenced
+// protocol instead — E11's before side.
 //
 // Usage discipline: one live Guard per thread per domain at a time (ccds
 // structures create exactly one per operation); the guard's slot indices are
@@ -49,16 +50,10 @@
 
 namespace ccds {
 
-template <std::size_t ScanThreshold = 256,
-          bool Asymmetric = kAsymmetricFencesAllowed, std::size_t Slots = 8>
+template <std::size_t ScanThreshold = 256, std::size_t Slots = 8>
 class BasicHazardDomain {
   static_assert(Slots >= 1 && Slots <= 64,
                 "the guard's dirty mask is a single 64-bit word");
-  static_assert(!Asymmetric || kAsymmetricFencesAllowed,
-                "asymmetric-fence hazard domain selected in a build where "
-                "asymmetric fences are unsound (CCDS_TSAN_SOUND): use the "
-                "default Asymmetric=kAsymmetricFencesAllowed or the "
-                "SeqCst* alias");
 
  public:
   // Hazard slots per thread.  The default 8 covers the flat structures
@@ -105,25 +100,11 @@ class BasicHazardDomain {
       used_ |= 1ull << slot;
       auto p = src.load(std::memory_order_acquire);
       for (;;) {
-        if constexpr (Asymmetric) {
-          // release + light barrier: a plain store where membarrier backs
-          // scan()'s asymmetric_heavy(), which then supplies the
-          // store-load ordering against the slot sweep; on fallback
-          // platforms the light barrier is itself a full fence (symmetric
-          // protocol — see core/asymmetric_fence.hpp).
-          // The validating load needs only acquire — if it reads a stale
-          // (pre-unlink) value, the publication store precedes the heavy
-          // barrier and the scan keeps the node.
-          hp_[slot].store(p, std::memory_order_release);
-          asymmetric_light();
-        } else {
-          // asymmetric: OFF — classic Michael protocol kept as the fenced
-          // baseline; the seq_cst store/load pair makes the publication
-          // globally visible before the re-read on its own.
-          hp_[slot].store(p, std::memory_order_seq_cst);
-        }
-        auto q = src.load(Asymmetric ? std::memory_order_acquire
-                                     : std::memory_order_seq_cst);
+        // If the validating re-read sees a stale (pre-unlink) value, the
+        // publication preceded scan()'s sweep barrier and the scan keeps
+        // the node.
+        dekker_publish(hp_[slot], p);
+        auto q = dekker_load(src);
         if (q == p) return p;
         p = q;
       }
@@ -138,13 +119,7 @@ class BasicHazardDomain {
     [[gnu::always_inline]] void protect_raw(std::size_t slot, T* p) {
       CCDS_ASSERT(slot < kSlots);
       used_ |= 1ull << slot;
-      if constexpr (Asymmetric) {
-        hp_[slot].store(p, std::memory_order_release);
-        asymmetric_light();
-      } else {
-        // asymmetric: OFF — fenced baseline (see protect()).
-        hp_[slot].store(p, std::memory_order_seq_cst);
-      }
+      dekker_publish(hp_[slot], p);
     }
 
     void clear(std::size_t slot) {
@@ -208,13 +183,10 @@ class BasicHazardDomain {
   // the records no slot names.  Runs under the pass latch, so a deleter
   // that re-enters scan() never reaches this sweep or its scratch vector.
   auto unhazarded() {
-    if constexpr (Asymmetric) {
-      // The one heavy barrier that pays for every reader's elided fence:
-      // all hazard publications made before this point are now visible to
-      // the acquire sweep below, and our earlier unlinks are visible to the
-      // validating re-read of any reader publishing after it.
-      asymmetric_heavy();
-    }
+    // All hazard publications made before the barrier are visible to the
+    // sweep below, and our earlier unlinks are visible to the validating
+    // re-read of any reader publishing after it.
+    dekker_sweep_barrier();
     // Read the ceiling AFTER the barrier: a publication visible to the
     // sweep implies the publisher's earlier registration (and its ceiling
     // raise) is visible too, so the sweep bound always covers every slot
@@ -224,11 +196,7 @@ class BasicHazardDomain {
     hazards.clear();
     for (std::size_t t = 0; t < nthreads; ++t) {
       for (auto& s : hazards_[t]->slot) {
-        // acquire suffices under the asymmetric protocol (the heavy
-        // barrier above did the Dekker work); the classic baseline keeps
-        // seq_cst to pair with Guard::protect's publication.
-        void* p = s.load(Asymmetric ? std::memory_order_acquire
-                                    : std::memory_order_seq_cst);
+        void* p = dekker_load(s);
         if (p != nullptr) hazards.push_back(p);
       }
     }
@@ -246,22 +214,15 @@ class BasicHazardDomain {
   Padded<std::vector<void*>> hazard_scratch_[kMaxThreads];
 };
 
-// Default domain used across the library: asymmetric read path (degrades
-// to the symmetric protocol under CCDS_TSAN_SOUND, where the asymmetric
-// one is unverifiable — see core/asymmetric_fence.hpp).
+// Default domain used across the library.
 using HazardDomain = BasicHazardDomain<>;
-
-// Classic fully-fenced protocol — the E11 before/after baseline.
-using SeqCstHazardDomain = BasicHazardDomain<256, /*Asymmetric=*/false>;
 
 // Wide variant for deep-window structures: skip lists protect a
 // preds/succs pair per level (2 * kSkipListMaxLevel = 32) plus traversal
 // scratch, so they require kSlots >= 35 (they static_assert it).
-using WideHazardDomain =
-    BasicHazardDomain<256, kAsymmetricFencesAllowed, /*Slots=*/40>;
+using WideHazardDomain = BasicHazardDomain<256, /*Slots=*/40>;
 
 static_assert(reclaimer<HazardDomain>);
-static_assert(reclaimer<SeqCstHazardDomain>);
 static_assert(reclaimer<WideHazardDomain>);
 static_assert(reclaimer_traits<HazardDomain>::pointer_based);
 static_assert(!reclaimer_traits<HazardDomain>::has_lease);

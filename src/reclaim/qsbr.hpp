@@ -53,26 +53,22 @@
 
 #include <cstdint>
 
-#include "core/asymmetric_fence.hpp"
 #include "core/atomic.hpp"
 #include "reclaim/epoch_core.hpp"
 #include "reclaim/reclaim.hpp"
 
 namespace ccds {
 
-template <bool Asymmetric = kAsymmetricFencesAllowed>
-class BasicQsbrDomain : public EpochCore<Asymmetric> {
-  using Core = EpochCore<Asymmetric>;
-
+class QsbrDomain : public EpochCore {
  public:
   class Guard : public BlanketGuard {
    public:
-    explicit Guard(BasicQsbrDomain& d)
+    explicit Guard(QsbrDomain& d)
         : dom_(&d), slot_(&d.my_slot()) {
       // relaxed: own slot — only this thread writes it outside quiescent
       // collect_all, and a racy offline read just re-runs the onlining.
       announced_ = slot_->load(std::memory_order_relaxed);
-      if (announced_ == Core::kInactive) {
+      if (announced_ == kInactive) {
         d.announce(*slot_);
         announced_ = slot_->load(std::memory_order_relaxed);
       }
@@ -99,7 +95,7 @@ class BasicQsbrDomain : public EpochCore<Asymmetric> {
     }
 
    private:
-    BasicQsbrDomain* dom_;
+    QsbrDomain* dom_;
     Atomic<std::uint64_t>* slot_;
     std::uint64_t announced_;
   };
@@ -112,34 +108,26 @@ class BasicQsbrDomain : public EpochCore<Asymmetric> {
   // thread that retires but never opens another guard could never see its
   // own garbage age out.
   void collect() {
-    auto& slot = this->my_slot();
+    auto& slot = my_slot();
     // acquire: pairs with the advance CAS chain (see ~Guard).
-    const std::uint64_t e =
-        this->global_epoch_.load(std::memory_order_acquire);
+    const std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
     // relaxed: own slot; the offline check keeps a guard-less collect()
     // from onlining an otherwise idle thread (offline never blocks
     // advances).
     const std::uint64_t a = slot.load(std::memory_order_relaxed);
-    if (a != Core::kInactive && a != e) {
+    if (a != kInactive && a != e) {
       // release: as at the guard's boundary.
       slot.store(e, std::memory_order_release);
     }
-    Core::collect();
+    EpochCore::collect();
   }
 };
-
-// Default domain: asymmetric announcement path.
-using QsbrDomain = BasicQsbrDomain<>;
-
-// Classic fully-fenced onlining — the E11 before/after baseline.
-using SeqCstQsbrDomain = BasicQsbrDomain</*Asymmetric=*/false>;
 
 // Lease-amortized flavor: guard() hands out leases (no boundary at scope
 // exit), mirroring EpochLeaseDomain.
 using QsbrLeaseDomain = LeasedDomain<QsbrDomain>;
 
 static_assert(reclaimer<QsbrDomain>);
-static_assert(reclaimer<SeqCstQsbrDomain>);
 static_assert(reclaimer<LeasedDomain<QsbrDomain>>);
 static_assert(!reclaimer_traits<QsbrDomain>::pointer_based);
 static_assert(reclaimer_traits<QsbrDomain>::has_lease);

@@ -181,10 +181,11 @@ TEST(ModelReclaim, EpochAdvancerLightBarrierBugCaught) {
 
 // ---------------------------------------------------------------------------
 // The REAL domains under the model: the shipped BasicHazardDomain /
-// BasicEpochDomain code — including scan()'s / try_advance()'s
-// asymmetric_heavy(), the registration-ceiling sweep bound, and the scratch
-// buffers — explored end-to-end.  A node's destructor records its address;
-// a protected/pinned reader asserts its pointer was never freed.
+// EpochDomain code — including scan()'s / try_advance()'s sweep barrier,
+// the registration-ceiling sweep bound, and the scratch buffers — explored
+// end-to-end, in each build's protocol (tests/model/CMakeLists.txt builds
+// this suite twice).  A node's destructor records its address; a
+// protected/pinned reader asserts its pointer was never freed.
 // ---------------------------------------------------------------------------
 
 struct FreeLog {

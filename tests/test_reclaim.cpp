@@ -340,13 +340,6 @@ TEST_F(ReclaimTest, QsbrLeaseAmortizedReadPath) {
   EXPECT_EQ(g_live.load(), 0);
 }
 
-TEST_F(ReclaimTest, SeqCstQsbrBaselineStillReclaims) {
-  SeqCstQsbrDomain dom;
-  for (int i = 0; i < 300; ++i) dom.retire(new Canary);
-  for (int i = 0; i < 8; ++i) dom.collect();
-  EXPECT_EQ(g_live.load(), 0);
-}
-
 // ---------- cross-domain drain contract ----------
 //
 // Every domain promises: at quiescence (no guards, no leases, no
@@ -465,31 +458,6 @@ TYPED_TEST(ReentrantRetireTest, RetireFromDeleter) {
     for (int i = 0; i < 12; ++i) dom.collect();
   }  // destructor drains nested retires to a fixpoint
   EXPECT_EQ(g_live.load(), 0);
-}
-
-// The classic fully-fenced protocols are kept as the E11 baseline; they
-// must remain correct, not just compile.
-TEST_F(ReclaimTest, SeqCstBaselineDomainsStillReclaim) {
-  {
-    SeqCstHazardDomain dom;
-    std::atomic<Canary*> src{new Canary};
-    {
-      auto g = dom.guard();
-      Canary* p = g.protect(0, src);
-      EXPECT_EQ(p->payload, 0xdeadbeefu);
-    }
-    for (int i = 0; i < 2000; ++i) dom.retire(new Canary);
-    dom.collect();
-    EXPECT_LT(g_live.load(), 300);
-    dom.retire(src.load());
-  }
-  EXPECT_EQ(g_live.load(), 0);
-  {
-    SeqCstEpochDomain dom;
-    for (int i = 0; i < 300; ++i) dom.retire(new Canary);
-    for (int i = 0; i < 6; ++i) dom.collect();
-    EXPECT_EQ(g_live.load(), 0);
-  }
 }
 
 // ---------- retire/collect vs readers stress (ASan-backed) ----------
