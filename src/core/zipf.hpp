@@ -1,16 +1,15 @@
 // Zipfian key sampler for contention benchmarks.
 //
-// Skewed access is where recovery strategy matters: under a uniform mix over
-// 64k keys, CAS conflicts are rare and any skiplist looks fine; under a
-// zipfian mix the hottest handful of keys absorb most operations and every
-// conflict's recovery cost (head re-descent vs backlink step) is paid
-// constantly.  E17 drives the lock-free skiplist with this sampler.
+// Skewed access is where contention shows: under a uniform mix over a large
+// key space, conflicts on one key are rare; under a zipfian mix the hottest
+// handful of keys absorb most operations.  bench_ycsb (E19) and servebench's
+// YCSB workloads draw their keys with this sampler.
 //
 // Implementation: Walker/Vose alias table over ranks 0..n-1 with
 // p(rank) ∝ 1 / (rank+1)^alpha.  Two array reads + one compare per draw —
 // O(1), no per-draw pow(), and exact for ANY alpha >= 0 (the YCSB
 // quick-formula approximation only handles alpha < 1, which would rule out
-// the alpha = 1.2 point E17 needs).  Build cost is O(n) once.
+// E19's alpha = 1.2 rows).  Build cost is O(n) once.
 //
 // alpha = 0 degenerates to uniform; alpha ~ 0.99 is the classic YCSB skew;
 // alpha > 1 concentrates mass so hard that the top few ranks dominate

@@ -112,9 +112,9 @@ class BasicHazardDomain {
 
     // Assert protection of an already-read pointer WITHOUT validation.
     // Sound only when the caller re-validates its source afterwards (that
-    // re-check is the validating load of the same asymmetric Dekker as
-    // protect()) or when `p` is already protected by another slot of this
-    // guard (slot-to-slot handover).
+    // re-check is the validating load of the same Dekker as protect()) or
+    // when `p` is already protected by another slot of this guard
+    // (slot-to-slot handover).
     template <typename T>
     [[gnu::always_inline]] void protect_raw(std::size_t slot, T* p) {
       CCDS_ASSERT(slot < kSlots);

@@ -17,8 +17,8 @@
 //
 //   * Onlining (first guard on a thread, and any lease after the epoch
 //     moved): the core's VALIDATED announcement, exactly epoch's pin —
-//     release-store the observed epoch, asymmetric_light(), then re-read
-//     the global epoch seq_cst and loop until it matched.  Without the
+//     publish the observed epoch (dekker_publish()), then re-read the
+//     global epoch seq_cst and loop until it matched.  Without the
 //     validating re-read a sweep could miss the announcement and advance
 //     twice past a thread that believes itself online (the seeded
 //     missed-quiescence bug in tests/model/test_model_qsbr.cpp).
